@@ -115,28 +115,16 @@ pub fn match_db_content(db: &GeneratedDb, question: &str, limit: usize) -> Vec<C
     out
 }
 
-/// Jaccard similarity between token sets of two questions (the core of
-/// DAIL-SQL's masked-question similarity selection).
-pub fn question_similarity(a: &str, b: &str) -> f64 {
-    let ta: HashSet<String> = tokenize_question(a).into_iter().collect();
-    let tb: HashSet<String> = tokenize_question(b).into_iter().collect();
-    if ta.is_empty() || tb.is_empty() {
-        return 0.0;
+/// Jaccard similarity between two question token sets (the core of
+/// DAIL-SQL's masked-question similarity selection); 0 when both are empty.
+fn jaccard(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
+    let inter = a.intersection(b).count() as f64;
+    let union = (a.len() + b.len()) as f64 - inter;
+    if union > 0.0 {
+        inter / union
+    } else {
+        0.0
     }
-    let inter = ta.intersection(&tb).count() as f64;
-    let union = ta.union(&tb).count() as f64;
-    inter / union
-}
-
-/// Few-shot selection (DAIL-SQL style): the `k` training samples most
-/// similar to the question.
-pub fn select_few_shot<'a>(train: &'a [Sample], question: &str, k: usize) -> Vec<&'a Sample> {
-    let mut scored: Vec<(f64, &Sample)> = train
-        .iter()
-        .map(|s| (question_similarity(question, s.question()), s))
-        .collect();
-    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    scored.into_iter().take(k).map(|(_, s)| s).collect()
 }
 
 /// A pre-tokenized few-shot retrieval index over a training pool.
@@ -169,20 +157,13 @@ impl<'a> FewShotIndex<'a> {
         self.samples.is_empty()
     }
 
-    /// The `k` most similar training samples to `question`.
+    /// Few-shot selection (DAIL-SQL style): the `k` training samples most
+    /// similar to `question`, by descending similarity and then ascending
+    /// pool index.
     pub fn select(&self, question: &str, k: usize) -> Vec<&'a Sample> {
         let q: HashSet<String> = tokenize_question(question).into_iter().collect();
-        let mut scored: Vec<(f64, usize)> = self
-            .tokens
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let inter = q.intersection(t).count() as f64;
-                let union = (q.len() + t.len()) as f64 - inter;
-                let sim = if union > 0.0 { inter / union } else { 0.0 };
-                (sim, i)
-            })
-            .collect();
+        let mut scored: Vec<(f64, usize)> =
+            self.tokens.iter().enumerate().map(|(i, t)| (jaccard(&q, t), i)).collect();
         scored.sort_by(|a, b| {
             b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
         });
@@ -370,23 +351,60 @@ mod tests {
         assert!(match_db_content(c.db(s), s.question(), 2).len() <= 2);
     }
 
+    /// A training pool whose questions are `questions`, ids in order.
+    fn pool(questions: &[&str]) -> Vec<Sample> {
+        let template = corpus().train[0].clone();
+        questions
+            .iter()
+            .enumerate()
+            .map(|(id, q)| Sample { id, variants: vec![q.to_string()], ..template.clone() })
+            .collect()
+    }
+
     #[test]
     fn similarity_is_sane() {
-        assert!(question_similarity("what is the name", "what is the name") > 0.99);
-        assert_eq!(question_similarity("alpha beta", "gamma delta"), 0.0);
-        let mid = question_similarity("what is the age of singers", "what is the name of singers");
-        assert!(mid > 0.3 && mid < 1.0);
+        let pool = pool(&[
+            "alpha beta",
+            "what is the name of singers",
+            "what is the age of singers",
+            "What is the NAME of singers?",
+            "gamma delta",
+        ]);
+        let index = FewShotIndex::new(&pool);
+        let q = "what is the name of singers";
+        let ids: Vec<usize> = index.select(q, 10).iter().map(|s| s.id).collect();
+        // identical token sets first (case and punctuation do not count),
+        // then the near match, then the disjoint ones; ties keep pool order
+        assert_eq!(ids, [1, 3, 2, 0, 4]);
+        let mid = jaccard(&index.tokens[1], &index.tokens[2]);
+        assert!(mid > 0.3 && mid < 1.0, "{mid}");
+        assert_eq!(jaccard(&index.tokens[0], &index.tokens[4]), 0.0);
+        assert_eq!(index.select(q, 2).len(), 2);
     }
 
     #[test]
     fn few_shot_returns_most_similar_first() {
         let c = corpus();
-        let q = c.dev[0].question();
-        let shots = select_few_shot(&c.train, q, 5);
+        let index = FewShotIndex::new(&c.train);
+        let q: HashSet<String> = tokenize_question(c.dev[0].question()).into_iter().collect();
+        let shots = index.select(c.dev[0].question(), 5);
         assert_eq!(shots.len(), 5);
-        let s0 = question_similarity(q, shots[0].question());
-        let s4 = question_similarity(q, shots[4].question());
-        assert!(s0 >= s4);
+        let scored: Vec<(f64, usize)> = shots
+            .iter()
+            .map(|&s| {
+                let i = c.train.iter().position(|t| std::ptr::eq(t, s)).expect("from the pool");
+                (jaccard(&q, &index.tokens[i]), i)
+            })
+            .collect();
+        // similarity descending, then pool index ascending
+        assert!(scored
+            .windows(2)
+            .all(|w| w[0].0 > w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1)));
+        // nothing left out scores higher than the last pick
+        let floor = scored[4].0;
+        assert!(index.tokens.iter().enumerate().all(|(i, t)| {
+            jaccard(&q, t) <= floor || scored.iter().any(|&(_, id)| id == i)
+        }));
     }
 
     #[test]

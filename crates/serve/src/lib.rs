@@ -22,12 +22,13 @@
 //!   outcome-neutral — EX/EM cannot depend on cache state.
 //! * **Deadlines**: a request can carry a deadline; workers drop requests
 //!   whose deadline passed while queued ([`QueryError::DeadlineExceeded`]).
-//! * **Metrics**: lock-free counters and a log2 latency histogram
-//!   (p50/p95/p99), plus per-kind execution-failure counts.
-//! * **Live telemetry**: labeled metric families ([`obs::Registry`]) keyed
-//!   by method and failure kind, sliding-window QPS/error-rate/quantiles
-//!   over the last 1s/10s/60s ([`window`]), and a bounded top-K slow-query
-//!   log ([`slowlog`]).
+//! * **Metrics**: labeled metric families ([`obs::Registry`]) keyed by
+//!   method, outcome and failure kind — lock-free counters and log2
+//!   latency histograms, recorded once per event. `/metrics` renders them
+//!   and [`ServiceHandle::metrics`] sums them into a [`MetricsSnapshot`].
+//! * **Live telemetry**: sliding-window QPS/error-rate/quantiles over the
+//!   last 1s/10s/60s ([`window`]) and a bounded top-K slow-query log
+//!   ([`slowlog`]).
 //! * **Admin endpoint**: an optional loopback HTTP listener ([`admin`])
 //!   serving `GET /metrics` (Prometheus text exposition), `/metrics.json`,
 //!   `/healthz`, `/readyz` (unready while draining or saturated), and
@@ -59,7 +60,6 @@ pub mod window;
 
 use cache::{ExecCache, ExecOutcome};
 use crossbeam::channel;
-use metrics::Metrics;
 pub use metrics::MetricsSnapshot;
 use modelzoo::Nl2SqlModel;
 use nl2sql360::{EvalContext, EvalStore, ExecFailureKind};
@@ -97,10 +97,10 @@ pub struct ServeConfig {
     /// (restored on shutdown). Spans/counters are then snapshot-able via
     /// [`obs::snapshot`] while the service runs.
     pub trace: bool,
-    /// Record into the labeled telemetry plane (registry families,
-    /// sliding windows, slow-query log). On by default; turning it off
-    /// leaves the families registered but empty, which is how the bench
-    /// measures the plane's own overhead.
+    /// Feed the sliding windows and the slow-query log. On by default.
+    /// The registry families record either way (they back `/metrics` and
+    /// [`ServiceHandle::metrics`]); turning this off is how the bench
+    /// measures the windows' and slow log's own overhead.
     pub telemetry: bool,
     /// Bind the admin HTTP endpoint here (loopback only; port 0 picks an
     /// ephemeral port, readable via [`ServiceHandle::admin_addr`]).
@@ -680,7 +680,6 @@ pub(crate) struct Inner {
     /// Eval-run registry, persistence store, and runner job queue behind
     /// the `/v1/evals` endpoints.
     pub(crate) evals: EvalPlane,
-    metrics: Metrics,
     pub(crate) telemetry: Telemetry,
     /// Per-request span store behind `GET /v1/traces/<id>`; present iff
     /// `config.request_tracing` is on.
@@ -704,34 +703,14 @@ impl Inner {
     /// for both in-process [`ServiceHandle::submit`] calls and
     /// `POST /v1/sql` NL requests.
     pub(crate) fn submit(&self, req: QueryRequest) -> Result<Ticket, QueryError> {
-        let (tx, rx) = channel::bounded(1);
-        let ticket = Ticket { rx };
-
-        let method_idx = match self.method_index.get(&req.method) {
-            Some(&i) => i,
-            None => {
-                Metrics::inc(&self.metrics.submitted);
-                Metrics::inc(&self.metrics.failed);
-                if self.telemetry.enabled {
-                    self.telemetry.unknown_method.inc();
-                }
-                let _ = tx.send(Err(QueryError::UnknownMethod(req.method)));
-                return Ok(ticket);
-            }
+        let Some(&method_idx) = self.method_index.get(&req.method) else {
+            return self.refuse(QueryError::UnknownMethod(req.method));
         };
-        let (sample_idx, variant) =
-            match self.question_index.get(&(req.db_id.clone(), req.question.clone())) {
-                Some(&pair) => pair,
-                None => {
-                    Metrics::inc(&self.metrics.submitted);
-                    Metrics::inc(&self.metrics.failed);
-                    if self.telemetry.enabled {
-                        self.telemetry.unknown_question.inc();
-                    }
-                    let _ = tx.send(Err(QueryError::UnknownQuestion));
-                    return Ok(ticket);
-                }
-            };
+        let Some(&(sample_idx, variant)) =
+            self.question_index.get(&(req.db_id.clone(), req.question.clone()))
+        else {
+            return self.refuse(QueryError::UnknownQuestion);
+        };
 
         // Trace identity is fixed at admission: adopt a forwarded context
         // (the scheduler's trace crossing into this process) or mint a
@@ -748,6 +727,7 @@ impl Inner {
                 },
             }
         });
+        let (tx, rx) = channel::bounded(1);
         let pending = Pending {
             method_idx,
             sample_idx,
@@ -760,17 +740,34 @@ impl Inner {
         {
             let mut q = self.queue.lock().expect("queue lock poisoned");
             if q.shutdown || q.items.len() >= self.config.queue_capacity {
-                Metrics::inc(&self.metrics.rejected_overloaded);
-                if self.telemetry.enabled {
-                    self.telemetry.rejected_overloaded.inc();
-                }
-                return Err(QueryError::Overloaded);
+                return self.refuse(QueryError::Overloaded);
             }
-            Metrics::inc(&self.metrics.submitted);
+            self.telemetry.admitted.inc();
             q.items.push_back(pending);
         }
         self.not_empty.notify_one();
-        Ok(ticket)
+        Ok(Ticket { rx })
+    }
+
+    /// Admission failure: count it under its reason. Unknown methods and
+    /// questions are admitted and answered through a ticket, so they share
+    /// the normal reply path; an `Overloaded` request is not admitted and
+    /// gets no ticket.
+    fn refuse(&self, err: QueryError) -> Result<Ticket, QueryError> {
+        let t = &self.telemetry;
+        let reason = match err {
+            QueryError::UnknownMethod(_) => &t.unknown_method,
+            QueryError::UnknownQuestion => &t.unknown_question,
+            _ => {
+                t.rejected_overloaded.inc();
+                return Err(err);
+            }
+        };
+        reason.inc();
+        t.admitted.inc();
+        let (tx, rx) = channel::bounded(1);
+        let _ = tx.send(Err(err));
+        Ok(Ticket { rx })
     }
 
     fn drain(&self) {
@@ -862,7 +859,7 @@ impl ServiceHandle<'_> {
 
     /// Current metrics.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot()
+        self.inner.telemetry.snapshot()
     }
 
     /// Entries currently in the execution cache.
@@ -1033,7 +1030,6 @@ impl Service {
             models,
             method_index,
             question_index,
-            metrics: Metrics::default(),
             telemetry,
             ready: AtomicBool::new(true),
             started,
@@ -1189,7 +1185,7 @@ fn flush_warehouse_tick(inner: &Inner) {
             }
         }
     }
-    let m = inner.metrics.snapshot();
+    let m = inner.telemetry.snapshot();
     let us = |d: Option<Duration>| d.map_or(0, |d| d.as_micros() as i64);
     let values = [
         ("submitted", m.submitted as i64),
@@ -1242,12 +1238,8 @@ fn worker_loop<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
                 }
             }
         }
-        Metrics::inc(&inner.metrics.batches);
-        inner.metrics.batched_requests.fetch_add(
-            batch.len() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
         let batch_size = batch.len();
+        inner.telemetry.batch_size.record(batch_size as u64);
         for pending in batch {
             serve_one(inner, ctx, pending, batch_size);
         }
@@ -1257,8 +1249,6 @@ fn worker_loop<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
 fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size: usize) {
     // Per-request tracing: the root span starts at enqueue time and is
     // parented to the forwarding process's span when one was carried in.
-    // Span recording happens strictly *before* the reply is sent, so a
-    // caller that has the response can immediately read the full trace.
     let rt = match (&p.trace, &inner.traces) {
         (Some(pt), Some(store)) => {
             Some(RequestTrace::begin(store, pt.trace_id, pt.parent_span, p.enqueued))
@@ -1280,31 +1270,14 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
     if let Some(t) = &rt {
         t.child("queue", p.enqueued, started, String::new());
     }
-    inner.metrics.queue_wait.record_duration(queue_wait);
-    obs::observe_duration("serve.queue_wait", queue_wait);
     // All telemetry cells were pre-registered at startup: the hot path
     // only touches relaxed atomics through these handles.
     let t = &inner.telemetry;
-    let cells = t.enabled.then(|| &t.per_method[p.method_idx]);
-    if let Some(c) = cells {
-        c.requests.inc();
-        t.queue_wait.record_duration(queue_wait);
-    }
-    if let Some(deadline) = p.deadline {
-        if queue_wait > deadline {
-            Metrics::inc(&inner.metrics.deadline_exceeded);
-            if let Some(c) = cells {
-                c.deadline.inc();
-                let latency = p.enqueued.elapsed();
-                c.latency.record_duration(latency);
-                t.windows.record(inner.started.elapsed(), latency.as_micros() as u64, true);
-            }
-            if let Some(t) = rt {
-                t.finish("request", "deadline_exceeded", format!("batch={batch_size}"));
-            }
-            let _ = p.reply.send(Err(QueryError::DeadlineExceeded));
-            return;
-        }
+    let cells = &t.per_method[p.method_idx];
+    cells.requests.inc();
+    t.queue_wait.record_duration(queue_wait);
+    if p.deadline.is_some_and(|deadline| queue_wait > deadline) {
+        return answer(inner, p, rt, batch_size, Err(QueryError::DeadlineExceeded));
     }
     let sample = &ctx.corpus.dev[p.sample_idx];
     let task = ctx.task(sample, p.variant);
@@ -1319,18 +1292,7 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
         );
     }
     let Some(pred) = translated else {
-        Metrics::inc(&inner.metrics.failed);
-        if let Some(c) = cells {
-            c.refused.inc();
-            let latency = p.enqueued.elapsed();
-            c.latency.record_duration(latency);
-            t.windows.record(inner.started.elapsed(), latency.as_micros() as u64, true);
-        }
-        if let Some(t) = rt {
-            t.finish("request", "refused", format!("batch={batch_size}"));
-        }
-        let _ = p.reply.send(Err(QueryError::TranslationRefused));
-        return;
+        return answer(inner, p, rt, batch_size, Err(QueryError::TranslationRefused));
     };
 
     // Static admission: reject SQL the analyzer can prove will fail before
@@ -1355,23 +1317,11 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
                 );
             }
             if !fired.is_empty() {
-                Metrics::inc(&inner.metrics.failed);
-                Metrics::inc(&inner.metrics.static_rejected);
-                if let Some(c) = cells {
-                    c.static_rejected.inc();
-                    for &rule in &fired {
-                        t.static_rejects[rule as usize].inc();
-                    }
-                    let latency = p.enqueued.elapsed();
-                    c.latency.record_duration(latency);
-                    t.windows.record(inner.started.elapsed(), latency.as_micros() as u64, true);
+                for &rule in &fired {
+                    t.static_rejects[rule as usize].inc();
                 }
                 let rules = fired.into_iter().map(|r| r.id().to_string()).collect();
-                if let Some(t) = rt {
-                    t.finish("request", "static_rejected", format!("batch={batch_size}"));
-                }
-                let _ = p.reply.send(Err(QueryError::StaticRejected(rules)));
-                return;
+                return answer(inner, p, rt, batch_size, Err(QueryError::StaticRejected(rules)));
             }
         }
     }
@@ -1388,14 +1338,8 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
     let sql_hash = if t.enabled { slowlog::fnv1a64(&normalized) } else { 0 };
     let key = (sample.db_id.clone(), normalized);
     let (outcome, cache_hit) = match inner.cache.get(&key) {
-        Some(v) => {
-            Metrics::inc(&inner.metrics.cache_hits);
-            obs::count("serve.exec_cache.hit", 1);
-            (v, true)
-        }
+        Some(v) => (v, true),
         None => {
-            Metrics::inc(&inner.metrics.cache_misses);
-            obs::count("serve.exec_cache.miss", 1);
             let v = Arc::new(match ctx.corpus.db(sample).database.run_query(&pred.query) {
                 Ok(rs) => ExecOutcome::Ok(rs),
                 Err(e) => ExecOutcome::Failed(ExecFailureKind::of(&e)),
@@ -1404,9 +1348,7 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
             (v, false)
         }
     };
-    if t.enabled {
-        if cache_hit { &t.cache_hit } else { &t.cache_miss }.inc();
-    }
+    if cache_hit { &t.cache_hit } else { &t.cache_miss }.inc();
     let exec_end = traced.then(Instant::now);
     if let (Some(t), Some(start), Some(end)) = (&rt, exec_start, exec_end) {
         t.child("execute", start, end, format!("cache_hit={}", u64::from(cache_hit)));
@@ -1416,10 +1358,7 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
     let (ex, pred_work, exec_failure) = match &*outcome {
         ExecOutcome::Ok(rs) => (minidb::results_equivalent(gold, rs), Some(rs.work), None),
         ExecOutcome::Failed(kind) => {
-            inner.metrics.record_exec_failure(*kind);
-            if t.enabled {
-                t.exec_failures[*kind as usize].inc();
-            }
+            t.exec_failures[*kind as usize].inc();
             (false, None, Some(*kind))
         }
     };
@@ -1429,18 +1368,11 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
     }
     let exec_time = started.elapsed();
     let latency = p.enqueued.elapsed();
-    Metrics::inc(&inner.metrics.completed);
-    inner.metrics.latency.record_duration(latency);
-    inner.metrics.exec_time.record_duration(exec_time);
-    obs::observe_duration("serve.exec", exec_time);
-    if let Some(c) = cells {
-        c.ok.inc();
-        c.latency.record_duration(latency);
-        c.exec.record_duration(exec_time);
-        let now = inner.started.elapsed();
-        t.windows.record(now, latency.as_micros() as u64, exec_failure.is_some());
+    cells.exec.record_duration(exec_time);
+    if t.enabled {
+        let now = inner.started.elapsed().as_millis() as u64;
         t.slow.offer(
-            now.as_millis() as u64,
+            now,
             SlowQueryEntry {
                 sql_hash,
                 method: inner.models[p.method_idx].name().to_string(),
@@ -1449,19 +1381,12 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
                 queue_wait_us: queue_wait.as_micros() as u64,
                 exec_us: exec_time.as_micros() as u64,
                 cache_hit,
-                at_ms: now.as_millis() as u64,
+                at_ms: now,
                 trace_id: trace_hex.clone(),
             },
         );
     }
-    if let Some(t) = rt {
-        t.finish(
-            "request",
-            "ok",
-            format!("batch={batch_size} cache_hit={}", u64::from(cache_hit)),
-        );
-    }
-    let _ = p.reply.send(Ok(QueryResponse {
+    let response = QueryResponse {
         ex,
         em,
         pred_sql: pred.sql,
@@ -1471,7 +1396,46 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
         batch_size,
         latency,
         trace_id: trace_hex,
-    }));
+    };
+    answer(inner, p, rt, batch_size, Ok(response));
+}
+
+/// The one exit of a request a worker picked up: count its outcome under
+/// its method, record its latency (and, with telemetry on, its window
+/// entry), close the trace root, then send the reply. Recording happens
+/// strictly before the send, so a caller holding the reply can read the
+/// full trace and counters that already include it.
+fn answer(
+    inner: &Inner,
+    p: Pending,
+    rt: Option<RequestTrace<'_>>,
+    batch_size: usize,
+    reply: QueryReply,
+) {
+    let t = &inner.telemetry;
+    let cells = &t.per_method[p.method_idx];
+    let (outcome, counter) = match &reply {
+        Ok(_) => ("ok", &cells.ok),
+        Err(QueryError::DeadlineExceeded) => ("deadline_exceeded", &cells.deadline),
+        Err(QueryError::StaticRejected(_)) => ("static_rejected", &cells.static_rejected),
+        // TranslationRefused, the one other error a worker sends
+        Err(_) => ("refused", &cells.refused),
+    };
+    let latency = reply.as_ref().map_or_else(|_| p.enqueued.elapsed(), |r| r.latency);
+    counter.inc();
+    cells.latency.record_duration(latency);
+    if t.enabled {
+        let errored = !matches!(&reply, Ok(r) if r.exec_failure.is_none());
+        t.windows.record(inner.started.elapsed(), latency.as_micros() as u64, errored);
+    }
+    if let Some(rt) = rt {
+        let cache_hit = match &reply {
+            Ok(r) => format!(" cache_hit={}", u64::from(r.cache_hit)),
+            Err(_) => String::new(),
+        };
+        rt.finish("request", outcome, format!("batch={batch_size}{cache_hit}"));
+    }
+    let _ = p.reply.send(reply);
 }
 
 #[cfg(test)]

@@ -1,113 +1,17 @@
-//! Lock-cheap service metrics: monotonic counters plus log2-bucketed
-//! latency histograms, all on relaxed atomics so the request path never
-//! takes a lock to record an observation.
+//! The [`MetricsSnapshot`] a [`crate::ServiceHandle`] reports.
 //!
-//! The histograms are [`obs::AtomicHistogram`] — the same fixed bucket
-//! table the obs recorder and the registry's exported histograms use, so
-//! a latency read off [`MetricsSnapshot`] and the same latency scraped
-//! off `/metrics` land in the same bucket.
+//! It holds no state of its own: it is read off the service registry's
+//! cells (see `telemetry`), the same cells `/metrics` renders. Quantiles
+//! come from [`obs::AtomicHistogram`]s on the one bucket table the obs
+//! recorder and every exported histogram use.
 
-use obs::AtomicHistogram;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Counter + histogram registry shared by the admission controller, the
-/// worker pool, and the execution cache.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Requests accepted into the queue.
-    pub submitted: AtomicU64,
-    /// Requests answered with a successful [`crate::QueryResponse`].
-    pub completed: AtomicU64,
-    /// Requests rejected at admission because the queue was full.
-    pub rejected_overloaded: AtomicU64,
-    /// Requests dropped by a worker because their deadline had passed.
-    pub deadline_exceeded: AtomicU64,
-    /// Requests answered with a non-deadline error (unknown method or
-    /// question, translation refused, static rejection).
-    pub failed: AtomicU64,
-    /// Requests rejected by the static semantic check before execution.
-    /// Counted *in addition to* `failed` (a static rejection is one kind
-    /// of failure), so `lost()` stays zero after drain.
-    pub static_rejected: AtomicU64,
-    /// Execution-cache hits.
-    pub cache_hits: AtomicU64,
-    /// Execution-cache misses.
-    pub cache_misses: AtomicU64,
-    /// Worker dequeue rounds (each serves one same-method batch).
-    pub batches: AtomicU64,
-    /// Requests served across all batches (mean batch size = this /
-    /// `batches`).
-    pub batched_requests: AtomicU64,
-    /// Execution failures by kind, indexed like
-    /// [`nl2sql360::ExecFailureKind`] in declaration order.
-    pub exec_failures: [AtomicU64; 10],
-    /// Queue-to-response latency of completed requests (microseconds).
-    pub latency: AtomicHistogram,
-    /// Time spent queued before a worker picked the request up. Recorded
-    /// for every dequeued request, including deadline drops — queue
-    /// pressure is most visible exactly when requests die waiting.
-    pub queue_wait: AtomicHistogram,
-    /// Dequeue-to-response time (translate + execute + compare) of
-    /// completed requests.
-    pub exec_time: AtomicHistogram,
-}
-
-impl Metrics {
-    /// Bump a counter.
-    pub fn inc(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an execution failure of the given kind.
-    pub fn record_exec_failure(&self, kind: nl2sql360::ExecFailureKind) {
-        self.exec_failures[kind as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Consistent point-in-time view for reports.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let hits = load(&self.cache_hits);
-        let misses = load(&self.cache_misses);
-        let batches = load(&self.batches);
-        let batched = load(&self.batched_requests);
-        MetricsSnapshot {
-            submitted: load(&self.submitted),
-            completed: load(&self.completed),
-            rejected_overloaded: load(&self.rejected_overloaded),
-            deadline_exceeded: load(&self.deadline_exceeded),
-            failed: load(&self.failed),
-            static_rejected: load(&self.static_rejected),
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_hit_rate: if hits + misses == 0 {
-                0.0
-            } else {
-                hits as f64 / (hits + misses) as f64
-            },
-            mean_batch_size: if batches == 0 { 0.0 } else { batched as f64 / batches as f64 },
-            p50: self.latency.quantile_duration(0.50),
-            p95: self.latency.quantile_duration(0.95),
-            p99: self.latency.quantile_duration(0.99),
-            queue_p50: self.queue_wait.quantile_duration(0.50),
-            queue_p95: self.queue_wait.quantile_duration(0.95),
-            queue_p99: self.queue_wait.quantile_duration(0.99),
-            exec_p50: self.exec_time.quantile_duration(0.50),
-            exec_p95: self.exec_time.quantile_duration(0.95),
-            exec_p99: self.exec_time.quantile_duration(0.99),
-            exec_failures: nl2sql360::ExecFailureKind::ALL
-                .iter()
-                .map(|&k| (k, self.exec_failures[k as usize].load(Ordering::Relaxed)))
-                .filter(|&(_, n)| n > 0)
-                .collect(),
-        }
-    }
-}
-
 /// Point-in-time metrics view.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Requests accepted into the queue.
+    /// Requests admitted: queued for a worker, or answered at admission
+    /// as an unknown method or question.
     pub submitted: u64,
     /// Successful responses.
     pub completed: u64,
@@ -127,7 +31,9 @@ pub struct MetricsSnapshot {
     pub cache_hit_rate: f64,
     /// Mean same-method batch size.
     pub mean_batch_size: f64,
-    /// Median latency (None before any completion).
+    /// Median submit-to-response latency over every reply a worker sent
+    /// (ok, deadline-exceeded, refused, static-rejected); `None` before
+    /// the first one.
     pub p50: Option<Duration>,
     /// 95th percentile latency.
     pub p95: Option<Duration>,
@@ -175,6 +81,8 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Telemetry;
+    use obs::AtomicHistogram;
 
     #[test]
     fn histogram_quantiles_bracket_observations() {
@@ -193,19 +101,24 @@ mod tests {
 
     #[test]
     fn snapshot_derives_rates() {
-        let m = Metrics::default();
-        Metrics::inc(&m.submitted);
-        Metrics::inc(&m.submitted);
-        Metrics::inc(&m.completed);
-        Metrics::inc(&m.completed);
-        Metrics::inc(&m.cache_hits);
-        Metrics::inc(&m.cache_misses);
-        m.batches.fetch_add(1, Ordering::Relaxed);
-        m.batched_requests.fetch_add(2, Ordering::Relaxed);
-        let s = m.snapshot();
+        let t = Telemetry::new(&["a", "b"], &crate::ServeConfig::default());
+        t.admitted.add(3);
+        t.per_method[0].ok.inc();
+        t.per_method[1].ok.inc();
+        t.unknown_method.inc();
+        t.cache_hit.inc();
+        t.cache_miss.inc();
+        t.batch_size.record(2);
+        t.per_method[0].latency.record(10);
+        t.per_method[1].latency.record(1000);
+        let s = t.snapshot();
+        assert_eq!((s.submitted, s.completed, s.failed), (3, 2, 1));
         assert_eq!(s.cache_hit_rate, 0.5);
         assert_eq!(s.mean_batch_size, 2.0);
         assert_eq!(s.lost(), 0);
+        // the per-method histograms merge: one sample in each half
+        assert_eq!(s.p50, Some(Duration::from_micros(15)));
+        assert_eq!(s.p99, Some(Duration::from_micros(1023)));
     }
 
     #[test]
@@ -213,28 +126,7 @@ mod tests {
         // A snapshot whose counter loads interleaved badly with recording:
         // completed already includes a request submitted "after" the
         // submitted load. The raw difference is negative; lost() is not.
-        let s = MetricsSnapshot {
-            submitted: 5,
-            completed: 6,
-            rejected_overloaded: 0,
-            deadline_exceeded: 0,
-            failed: 0,
-            static_rejected: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_hit_rate: 0.0,
-            mean_batch_size: 0.0,
-            p50: None,
-            p95: None,
-            p99: None,
-            queue_p50: None,
-            queue_p95: None,
-            queue_p99: None,
-            exec_p50: None,
-            exec_p95: None,
-            exec_p99: None,
-            exec_failures: Vec::new(),
-        };
+        let s = MetricsSnapshot { submitted: 5, completed: 6, ..MetricsSnapshot::default() };
         assert_eq!(s.lost(), 0);
     }
 }

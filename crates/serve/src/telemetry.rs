@@ -2,12 +2,18 @@
 //! method and failure kind, the sliding-window ring, and the slow-query
 //! log, built once at service start so the request hot path only touches
 //! pre-registered lock-free cells.
+//!
+//! The registry cells are the service's one counter set: `/metrics`
+//! renders them and [`Telemetry::snapshot`] sums them into the
+//! [`MetricsSnapshot`] that `ServiceHandle::metrics` returns, so both
+//! report the same numbers.
 
+use crate::metrics::MetricsSnapshot;
 use crate::slowlog::SlowLog;
 use crate::window::{WindowRing, WindowReport};
 use crate::ServeConfig;
 use nl2sql360::ExecFailureKind;
-use obs::{bucket_upper_bound, Counter, Gauge, Histogram, Registry, HIST_BUCKETS};
+use obs::{bucket_upper_bound, Counter, Gauge, HistSnapshot, Histogram, Registry, HIST_BUCKETS};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -39,9 +45,9 @@ pub(crate) struct MethodCells {
 
 /// All live-telemetry state; one instance per running service.
 pub(crate) struct Telemetry {
-    /// Master switch: when false the cells exist but nothing records into
-    /// them (used to measure the plane's own overhead and to pin that
-    /// outcomes never depend on it).
+    /// Feeds the window ring and the slow log. The registry cells record
+    /// either way; switching this off measures the windows' and the slow
+    /// log's own overhead and pins that outcomes never depend on them.
     pub enabled: bool,
     pub registry: Registry,
     /// Indexed like `Inner::models`.
@@ -52,10 +58,15 @@ pub(crate) struct Telemetry {
     pub static_rejects: Vec<Counter>,
     pub cache_hit: Counter,
     pub cache_miss: Counter,
+    /// `serve_admitted_total` — queued for a worker, or answered at
+    /// admission as an unknown method or question.
+    pub admitted: Counter,
     pub rejected_overloaded: Counter,
     pub unknown_method: Counter,
     pub unknown_question: Counter,
     pub queue_wait: Histogram,
+    /// `serve_batch_size` — requests per worker dequeue round.
+    pub batch_size: Histogram,
     pub queue_depth: Gauge,
     pub ready: Gauge,
     pub windows: WindowRing,
@@ -134,6 +145,13 @@ impl Telemetry {
             static_rejects,
             cache_hit: cache.with(&["hit"]),
             cache_miss: cache.with(&["miss"]),
+            admitted: registry
+                .counter_vec(
+                    "serve_admitted_total",
+                    "Requests admitted: queued for a worker or answered as unknown at admission.",
+                    &[],
+                )
+                .with(&[]),
             rejected_overloaded: rejects.with(&["overloaded"]),
             unknown_method: rejects.with(&["unknown_method"]),
             unknown_question: rejects.with(&["unknown_question"]),
@@ -141,6 +159,13 @@ impl Telemetry {
                 .histogram_vec(
                     "serve_queue_wait_us",
                     "Time spent queued before worker pickup, in microseconds.",
+                    &[],
+                )
+                .with(&[]),
+            batch_size: registry
+                .histogram_vec(
+                    "serve_batch_size",
+                    "Requests served per worker dequeue round (same-method micro-batch).",
                     &[],
                 )
                 .with(&[]),
@@ -157,6 +182,67 @@ impl Telemetry {
             windows: WindowRing::new(config.window_bucket_ms, config.window_buckets),
             slow: SlowLog::new(config.slow_log_k, config.slow_log_rate_per_sec),
             registry,
+        }
+    }
+
+    /// The [`MetricsSnapshot`] view of the cells: counts sum the
+    /// per-method and per-reason counters, and latency quantiles come from
+    /// the merged per-method histograms, which share one bucket table so
+    /// the merge is exact. `submitted` is read last, after the outcomes
+    /// it bounds.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let sum = |cell: fn(&MethodCells) -> &Counter| -> u64 {
+            self.per_method.iter().map(|c| cell(c).get()).sum()
+        };
+        let merged = |cell: fn(&MethodCells) -> &Histogram| {
+            let (mut buckets, mut sum) = ([0u64; HIST_BUCKETS], 0u64);
+            for c in &self.per_method {
+                cell(c).inner().accumulate(&mut buckets, &mut sum);
+            }
+            HistSnapshot { count: buckets.iter().sum(), buckets: buckets.to_vec(), sum }
+        };
+        let quantiles =
+            |h: &HistSnapshot| [0.50, 0.95, 0.99].map(|q| h.quantile(q).map(Duration::from_micros));
+        let [p50, p95, p99] = quantiles(&merged(|c| &c.latency));
+        let [exec_p50, exec_p95, exec_p99] = quantiles(&merged(|c| &c.exec));
+        let [queue_p50, queue_p95, queue_p99] = quantiles(&self.queue_wait.inner().snapshot());
+        let static_rejected = sum(|c| &c.static_rejected);
+        let completed = sum(|c| &c.ok);
+        let deadline_exceeded = sum(|c| &c.deadline);
+        let failed = sum(|c| &c.refused)
+            + static_rejected
+            + self.unknown_method.get()
+            + self.unknown_question.get();
+        let (cache_hits, cache_misses) = (self.cache_hit.get(), self.cache_miss.get());
+        MetricsSnapshot {
+            completed,
+            rejected_overloaded: self.rejected_overloaded.get(),
+            deadline_exceeded,
+            failed,
+            static_rejected,
+            cache_hits,
+            cache_misses,
+            cache_hit_rate: if cache_hits + cache_misses == 0 {
+                0.0
+            } else {
+                cache_hits as f64 / (cache_hits + cache_misses) as f64
+            },
+            mean_batch_size: self.batch_size.inner().snapshot().mean(),
+            p50,
+            p95,
+            p99,
+            queue_p50,
+            queue_p95,
+            queue_p99,
+            exec_p50,
+            exec_p95,
+            exec_p99,
+            exec_failures: ExecFailureKind::ALL
+                .iter()
+                .map(|&k| (k, self.exec_failures[k as usize].get()))
+                .filter(|&(_, n)| n > 0)
+                .collect(),
+            submitted: self.admitted.get(),
         }
     }
 

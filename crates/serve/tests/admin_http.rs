@@ -3,25 +3,16 @@
 //! `/metrics`, `/metrics.json`, `/healthz`, `/readyz`, and `/slow` over
 //! actual TCP while the service runs.
 
-use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind, Sample};
-use modelzoo::{Nl2SqlModel, Prediction, TranslationTask};
+mod common;
+
+use common::{request, GateModel, Refuser};
+use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind};
+use modelzoo::Nl2SqlModel;
 use nl2sql360::EvalContext;
 use serve::admin::http_get;
-use serve::{QueryError, QueryRequest, ServeConfig, Service};
+use serve::{QueryError, ServeConfig, Service};
 use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
 use std::time::Duration;
-
-fn request(sample: &Sample, variant: usize, method: &str) -> QueryRequest {
-    QueryRequest {
-        method: method.to_string(),
-        db_id: sample.db_id.clone(),
-        question: sample.variants[variant].clone(),
-        deadline: None,
-        trace: None,
-    }
-}
 
 fn corpus() -> Corpus {
     generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(91))
@@ -79,6 +70,17 @@ fn parse_exposition(text: &str) -> Vec<Sample4> {
     out
 }
 
+/// Sum of every series of `name` whose labels include `want`.
+fn sum_of(samples: &[Sample4], name: &str, want: &[(&str, &str)]) -> f64 {
+    samples
+        .iter()
+        .filter(|(n, labels, _)| {
+            n == name && want.iter().all(|(k, v)| labels.get(*k).map(String::as_str) == Some(*v))
+        })
+        .map(|(_, _, v)| v.parse::<f64>().expect("numeric sample value"))
+        .sum()
+}
+
 fn value_of(samples: &[Sample4], name: &str, want: &[(&str, &str)]) -> Option<f64> {
     samples
         .iter()
@@ -92,7 +94,12 @@ fn value_of(samples: &[Sample4], name: &str, want: &[(&str, &str)]) -> Option<f6
 fn live_scrape_exposes_the_full_metric_surface() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
-    Service::run_with_methods(admin_config(), &ctx, &["C3SQL", "DAILSQL"], |handle| {
+    let simulated = |name| {
+        let spec = modelzoo::method_by_name(name).expect("registry method");
+        Box::new(modelzoo::SimulatedModel::new(spec)) as Box<dyn Nl2SqlModel>
+    };
+    let models = vec![simulated("C3SQL"), simulated("DAILSQL"), Box::new(Refuser) as _];
+    Service::run(admin_config(), &ctx, models, |handle| {
         let addr = handle.admin_addr().expect("admin endpoint configured");
         for (i, sample) in corpus.dev.iter().enumerate().take(12) {
             let method = if i % 2 == 0 { "C3SQL" } else { "DAILSQL" };
@@ -152,6 +159,49 @@ fn live_scrape_exposes_the_full_metric_surface() {
         // gauges set at scrape time
         assert_eq!(value_of(&samples, "serve_ready", &[]), Some(1.0));
         assert_eq!(value_of(&samples, "serve_queue_depth", &[]), Some(0.0));
+
+        // every non-ok outcome: two refusals, an unknown method, and a
+        // request whose zero budget expires in the queue
+        for sample in &corpus.dev[..2] {
+            let refused = handle.query(request(sample, 0, "Refuser"));
+            assert!(matches!(refused, Err(QueryError::TranslationRefused)));
+        }
+        let unknown = handle.query(request(&corpus.dev[0], 0, "NoSuchMethod"));
+        assert!(matches!(unknown, Err(QueryError::UnknownMethod(_))));
+        let mut doomed = request(&corpus.dev[0], 0, "Refuser");
+        doomed.deadline = Some(Duration::ZERO);
+        assert!(matches!(handle.query(doomed), Err(QueryError::DeadlineExceeded)));
+
+        // the snapshot is a view over the scraped series: same numbers
+        let (status, body) = http_get(addr, "/metrics").expect("second scrape");
+        assert_eq!(status, 200);
+        let samples = parse_exposition(&body);
+        let snap = handle.metrics();
+        let responses =
+            |outcome| sum_of(&samples, "serve_responses_total", &[("outcome", outcome)]);
+        let rejects =
+            |reason| sum_of(&samples, "serve_admission_rejects_total", &[("reason", reason)]);
+        assert_eq!(snap.completed as f64, responses("ok"));
+        assert_eq!(snap.deadline_exceeded as f64, responses("deadline_exceeded"));
+        assert_eq!(
+            snap.failed as f64,
+            responses("refused")
+                + responses("static_rejected")
+                + rejects("unknown_method")
+                + rejects("unknown_question")
+        );
+        assert_eq!(snap.submitted as f64, sum_of(&samples, "serve_admitted_total", &[]));
+        assert_eq!(
+            (snap.submitted, snap.completed, snap.failed, snap.deadline_exceeded),
+            (17, 13, 3, 1)
+        );
+        assert_eq!(snap.lost(), 0);
+        // snapshot latency covers every worker reply, like the scraped family
+        assert_eq!(sum_of(&samples, "serve_latency_us_count", &[]), 16.0);
+        // each of those 16 picked-up requests was served in exactly one batch
+        let batches = sum_of(&samples, "serve_batch_size_count", &[]);
+        assert_eq!(sum_of(&samples, "serve_batch_size_sum", &[]), 16.0);
+        assert_eq!(snap.mean_batch_size, 16.0 / batches);
     });
 }
 
@@ -189,62 +239,17 @@ fn health_json_and_slow_endpoints_respond() {
     });
 }
 
-/// A model whose `translate` blocks until released, to wedge the worker
-/// while the test inspects drain behavior over HTTP.
-struct GateModel {
-    started: mpsc::SyncSender<()>,
-    gate: Mutex<usize>,
-    released: Condvar,
-}
-
-impl GateModel {
-    fn new(started: mpsc::SyncSender<()>) -> Self {
-        GateModel { started, gate: Mutex::new(0), released: Condvar::new() }
-    }
-
-    fn release(&self, n: usize) {
-        *self.gate.lock().unwrap() += n;
-        self.released.notify_all();
-    }
-}
-
-impl Nl2SqlModel for GateModel {
-    fn name(&self) -> &str {
-        "Gate"
-    }
-
-    fn translate(&self, _task: &TranslationTask<'_>) -> Option<Prediction> {
-        let _ = self.started.send(());
-        let mut permits = self.gate.lock().unwrap();
-        while *permits == 0 {
-            permits = self.released.wait(permits).unwrap();
-        }
-        *permits -= 1;
-        None
-    }
-}
-
 #[test]
 fn readyz_flips_to_503_during_drain() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = std::sync::Arc::new(GateModel::new(started_tx));
-    struct Shared(std::sync::Arc<GateModel>);
-    impl Nl2SqlModel for Shared {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
-            self.0.translate(task)
-        }
-    }
+    let (gate, started_rx) = GateModel::new();
     let config = ServeConfig::builder()
         .workers(1)
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .expect("valid config");
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
+    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(gate.clone())];
     Service::run(config, &ctx, models, |handle| {
         let addr = handle.admin_addr().expect("admin endpoint configured");
         let sample = &corpus.dev[0];
@@ -278,17 +283,7 @@ fn readyz_flips_to_503_during_drain() {
 fn readyz_saturation_reason_reports_queue_numbers() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = std::sync::Arc::new(GateModel::new(started_tx));
-    struct Shared(std::sync::Arc<GateModel>);
-    impl Nl2SqlModel for Shared {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
-            self.0.translate(task)
-        }
-    }
+    let (gate, started_rx) = GateModel::new();
     let config = ServeConfig::builder()
         .workers(1)
         .queue_capacity(10)
@@ -296,7 +291,7 @@ fn readyz_saturation_reason_reports_queue_numbers() {
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .expect("valid config");
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
+    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(gate.clone())];
     Service::run(config, &ctx, models, |handle| {
         let addr = handle.admin_addr().expect("admin endpoint configured");
         let sample = &corpus.dev[0];

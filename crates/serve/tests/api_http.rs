@@ -6,14 +6,15 @@
 //! serve traffic flows must leave both outcomes byte-identical to solo
 //! executions.
 
-use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind, Sample};
-use modelzoo::{method_by_name, Nl2SqlModel, Prediction, SimulatedModel, TranslationTask};
+mod common;
+
+use common::{request, GateModel};
+use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind};
+use modelzoo::{method_by_name, Nl2SqlModel, SimulatedModel};
 use nl2sql360::{EvalContext, EvalOptions, Filter};
 use serve::admin::{http_get, http_post};
-use serve::{QueryRequest, ServeConfig, Service};
+use serve::{ServeConfig, Service};
 use std::net::SocketAddr;
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn corpus() -> Corpus {
@@ -26,16 +27,6 @@ fn api_config() -> ServeConfig {
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .expect("valid api config")
-}
-
-fn request(sample: &Sample, variant: usize, method: &str) -> QueryRequest {
-    QueryRequest {
-        method: method.to_string(),
-        db_id: sample.db_id.clone(),
-        question: sample.variants[variant].clone(),
-        deadline: None,
-        trace: None,
-    }
 }
 
 fn get_str<'v>(v: &'v serde::Value, key: &str) -> &'v str {
@@ -301,62 +292,73 @@ fn refusal_surface_speaks_json_and_proper_statuses() {
     });
 }
 
-/// A model whose `translate` blocks until released, to wedge the worker
-/// while a deadlined request waits in the queue.
-struct GateModel {
-    started: mpsc::SyncSender<()>,
-    gate: Mutex<usize>,
-    released: Condvar,
-}
+/// Raw SQL is an external input: a nesting bomb gets a typed 4xx instead
+/// of overflowing the handler's stack, queries at the parser's depth limit
+/// still get an answer, and the listener keeps serving afterwards.
+#[test]
+fn deeply_nested_raw_sql_is_refused_and_the_listener_survives() {
+    let corpus = corpus();
+    let ctx = EvalContext::new(&corpus);
+    let config = ServeConfig::builder()
+        .workers(1)
+        .static_check(true)
+        .admin_addr("127.0.0.1:0".parse().unwrap())
+        .build()
+        .expect("valid config");
+    Service::run_with_methods(config, &ctx, &["C3SQL"], |handle| {
+        let addr = handle.admin_addr().expect("admin endpoint configured");
+        let db = &corpus.dev[0].db_id;
+        let post = |sql: String| {
+            let body = serde_json::to_string(&serde::Value::Map(vec![
+                ("sql".to_string(), serde::Value::Str(sql)),
+                ("db".to_string(), serde::Value::Str(db.clone())),
+            ]))
+            .expect("body serializes");
+            http_post(addr, "/v1/sql", &body).expect("listener answers")
+        };
 
-impl GateModel {
-    fn new(started: mpsc::SyncSender<()>) -> Self {
-        GateModel { started, gate: Mutex::new(0), released: Condvar::new() }
-    }
-
-    fn release(&self, n: usize) {
-        *self.gate.lock().unwrap() += n;
-        self.released.notify_all();
-    }
-}
-
-impl Nl2SqlModel for GateModel {
-    fn name(&self) -> &str {
-        "Gate"
-    }
-
-    fn translate(&self, _task: &TranslationTask<'_>) -> Option<Prediction> {
-        let _ = self.started.send(());
-        let mut permits = self.gate.lock().unwrap();
-        while *permits == 0 {
-            permits = self.released.wait(permits).unwrap();
+        // nesting bombs: 3000 parentheses, and a left-deep operator chain
+        // that nests as deep without any
+        for bomb in [
+            format!("SELECT {}1{}", "(".repeat(3000), ")".repeat(3000)),
+            format!("SELECT 1{}", " + 1".repeat(10_000)),
+        ] {
+            let (status, reply) = post(bomb);
+            assert!((400..500).contains(&status), "{status}: {reply}");
+            let v: serde::Value = serde_json::from_str(&reply).expect("error body is JSON");
+            let message = get_str(v.get("error").expect("error key"), "message");
+            assert!(message.contains("nesting deeper than"), "{message}");
         }
-        *permits -= 1;
-        None
-    }
+
+        // just inside the limit: parsed, checked and executed on the
+        // handler thread, answered without a 5xx
+        let depth = sqlkit::parser::MAX_DEPTH;
+        for sql in [
+            format!("SELECT {}1", "NOT ".repeat(depth - 2)),
+            format!("SELECT {}1", "- ".repeat(depth - 2)),
+            format!("SELECT 1{}", " + 1".repeat(depth - 2)),
+            format!("SELECT {}1{}", "(SELECT ".repeat(depth / 2 - 1), ")".repeat(depth / 2 - 1)),
+        ] {
+            let (status, reply) = post(sql);
+            assert!(status < 500, "{status}: {reply}");
+        }
+
+        let (status, body) = http_get(addr, "/healthz").expect("healthz after the bomb");
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+    });
 }
 
 #[test]
 fn deadline_expiry_mid_queue_returns_504() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = std::sync::Arc::new(GateModel::new(started_tx));
-    struct Shared(std::sync::Arc<GateModel>);
-    impl Nl2SqlModel for Shared {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
-            self.0.translate(task)
-        }
-    }
+    let (gate, started_rx) = GateModel::new();
     let config = ServeConfig::builder()
         .workers(1)
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .expect("valid config");
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
+    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(gate.clone())];
     Service::run(config, &ctx, models, |handle| {
         let addr = handle.admin_addr().expect("admin endpoint configured");
         let sample = &corpus.dev[0];

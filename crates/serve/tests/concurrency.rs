@@ -9,23 +9,14 @@
 //!   `DeadlineExceeded` once its budget passes;
 //! * drain — releasing a wedged service answers every admitted request.
 
-use datagen::{generate_corpus, CorpusConfig, CorpusKind, Sample};
-use modelzoo::{Nl2SqlModel, Prediction, TranslationTask};
-use nl2sql360::EvalContext;
-use serve::{QueryError, QueryRequest, ServeConfig, Service};
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+mod common;
 
-fn request(sample: &Sample, variant: usize, method: &str) -> QueryRequest {
-    QueryRequest {
-        method: method.to_string(),
-        db_id: sample.db_id.clone(),
-        question: sample.variants[variant].clone(),
-        deadline: None,
-        trace: None,
-    }
-}
+use common::{request, GateModel};
+use datagen::{generate_corpus, CorpusConfig, CorpusKind};
+use modelzoo::Nl2SqlModel;
+use nl2sql360::EvalContext;
+use serve::{QueryError, ServeConfig, Service};
+use std::time::Duration;
 
 /// (ex, em, pred_sql) per request — the outcome fields that must not
 /// depend on concurrency. Errors map to their variant name.
@@ -73,59 +64,13 @@ fn outcomes_identical_for_one_and_many_workers() {
     assert_eq!(serial, run_fleet(&corpus, 1));
 }
 
-/// A model whose `translate` blocks until released — lets tests wedge the
-/// single worker and observe queue behavior deterministically.
-struct GateModel {
-    started: mpsc::SyncSender<()>,
-    gate: Mutex<usize>,
-    released: Condvar,
-}
-
-impl GateModel {
-    fn new(started: mpsc::SyncSender<()>) -> Self {
-        GateModel { started, gate: Mutex::new(0), released: Condvar::new() }
-    }
-
-    /// Allow `n` further `translate` calls to proceed.
-    fn release(&self, n: usize) {
-        *self.gate.lock().unwrap() += n;
-        self.released.notify_all();
-    }
-}
-
-impl Nl2SqlModel for GateModel {
-    fn name(&self) -> &str {
-        "Gate"
-    }
-
-    fn translate(&self, _task: &TranslationTask<'_>) -> Option<Prediction> {
-        let _ = self.started.send(());
-        let mut permits = self.gate.lock().unwrap();
-        while *permits == 0 {
-            permits = self.released.wait(permits).unwrap();
-        }
-        *permits -= 1;
-        None // refuse: the test only cares about queue mechanics
-    }
-}
-
 #[test]
 fn saturated_queue_rejects_overloaded_without_blocking() {
     let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5));
     let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = std::sync::Arc::new(GateModel::new(started_tx));
-    struct Shared(std::sync::Arc<GateModel>);
-    impl Nl2SqlModel for Shared {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
-            self.0.translate(task)
-        }
-    }
+    let (gate, started_rx) = GateModel::new();
     let config = ServeConfig { workers: 1, queue_capacity: 2, ..ServeConfig::default() };
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
+    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(gate.clone())];
     Service::run(config, &ctx, models, |handle| {
         let sample = &corpus.dev[0];
         // first request occupies the single worker...
@@ -158,20 +103,10 @@ fn saturated_queue_rejects_overloaded_without_blocking() {
 fn queued_requests_past_their_deadline_are_dropped() {
     let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5));
     let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = std::sync::Arc::new(GateModel::new(started_tx));
-    struct Shared(std::sync::Arc<GateModel>);
-    impl Nl2SqlModel for Shared {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
-            self.0.translate(task)
-        }
-    }
+    let (gate, started_rx) = GateModel::new();
     let config = ServeConfig { workers: 1, queue_capacity: 16, ..ServeConfig::default() };
     let models: Vec<Box<dyn Nl2SqlModel>> =
-        vec![Box::new(Shared(gate.clone())), Box::new(modelzoo::SimulatedModel::new(
+        vec![Box::new(gate.clone()), Box::new(modelzoo::SimulatedModel::new(
             modelzoo::method_by_name("C3SQL").unwrap(),
         ))];
     Service::run(config, &ctx, models, |handle| {

@@ -1,26 +1,19 @@
 //! Serve ↔ obs ↔ minidb reconciliation: with `ServeConfig { trace: true }`
-//! the obs counters recorded during a service run must agree with the
-//! service's own metrics AND with minidb's dispatch accounting — every
-//! execution-cache miss is exactly one `run_query` dispatch, every hit is
-//! zero. Runs in its own test binary because the obs recorder is global.
+//! the service's cache counts must agree with minidb's dispatch accounting
+//! recorded by obs — every execution-cache miss is exactly one `run_query`
+//! dispatch, every hit is zero. Runs in its own test binary because the
+//! obs recorder is global.
 
+mod common;
+
+use common::request;
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
 use nl2sql360::EvalContext;
-use serve::{QueryRequest, ServeConfig, Service};
+use serve::{ServeConfig, Service};
 use std::sync::Mutex;
 
 /// Tests in this binary share the global recorder; serialize them.
 static GLOBAL: Mutex<()> = Mutex::new(());
-
-fn request(sample: &datagen::Sample, variant: usize, method: &str) -> QueryRequest {
-    QueryRequest {
-        method: method.to_string(),
-        db_id: sample.db_id.clone(),
-        question: sample.variants[variant].clone(),
-        deadline: None,
-        trace: None,
-    }
-}
 
 #[test]
 fn trace_counters_reconcile_cache_with_minidb_dispatch() {
@@ -52,9 +45,6 @@ fn trace_counters_reconcile_cache_with_minidb_dispatch() {
     });
 
     let snap = obs::snapshot();
-    // obs counters mirror the service's own cache metrics
-    assert_eq!(snap.counter("serve.exec_cache.hit"), metrics.cache_hits);
-    assert_eq!(snap.counter("serve.exec_cache.miss"), metrics.cache_misses);
     assert_eq!(metrics.cache_hits, 10);
     assert_eq!(metrics.cache_misses, 10);
 
@@ -74,12 +64,10 @@ fn trace_counters_reconcile_cache_with_minidb_dispatch() {
          (round1={round1}, round2={round2})"
     );
 
-    // the request span and both halves of the latency split were recorded
-    assert!(snap.events.iter().any(|e| e.name == "serve.request"));
-    let qw = snap.histograms.get("serve.queue_wait").expect("queue-wait histogram");
-    let ex = snap.histograms.get("serve.exec").expect("exec histogram");
-    assert_eq!(qw.count, 20);
-    assert_eq!(ex.count, metrics.completed);
+    // one request span per served request
+    let request_spans = snap.events.iter().filter(|e| e.name == "serve.request").count();
+    assert_eq!(request_spans as u64, metrics.completed);
+    assert_eq!(metrics.completed, 20);
 
     // per-operator work charged during serving flows through too
     assert!(snap.counter("minidb.work.total") > 0);

@@ -9,25 +9,15 @@
 //! * request outcomes and admission counters are identical with the
 //!   telemetry plane on and off — recording is strictly passive.
 
-use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind, Sample};
-use modelzoo::{Nl2SqlModel, Prediction, TranslationTask};
-use nl2sql360::EvalContext;
-use serve::metrics::Metrics;
-use serve::{QueryError, QueryRequest, ServeConfig, Service};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+mod common;
 
-fn request(sample: &Sample, variant: usize, method: &str) -> QueryRequest {
-    QueryRequest {
-        method: method.to_string(),
-        db_id: sample.db_id.clone(),
-        question: sample.variants[variant].clone(),
-        deadline: None,
-        trace: None,
-    }
-}
+use common::{request, GateModel};
+use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind};
+use modelzoo::Nl2SqlModel;
+use nl2sql360::EvalContext;
+use serve::{QueryError, ServeConfig, Service};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 fn corpus() -> Corpus {
     generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(91))
@@ -76,42 +66,6 @@ fn window_report_agrees_with_cumulative_counters() {
     });
 }
 
-/// A model whose `translate` blocks until released. The start signal is
-/// an unbounded channel: this test funnels thousands of requests through
-/// the gate, and a bounded channel would wedge the worker on `send`.
-struct GateModel {
-    started: mpsc::Sender<()>,
-    gate: Mutex<usize>,
-    released: Condvar,
-}
-
-impl GateModel {
-    fn new(started: mpsc::Sender<()>) -> Self {
-        GateModel { started, gate: Mutex::new(0), released: Condvar::new() }
-    }
-
-    fn release(&self, n: usize) {
-        *self.gate.lock().unwrap() += n;
-        self.released.notify_all();
-    }
-}
-
-impl Nl2SqlModel for GateModel {
-    fn name(&self) -> &str {
-        "Gate"
-    }
-
-    fn translate(&self, _task: &TranslationTask<'_>) -> Option<Prediction> {
-        let _ = self.started.send(());
-        let mut permits = self.gate.lock().unwrap();
-        while *permits == 0 {
-            permits = self.released.wait(permits).unwrap();
-        }
-        *permits -= 1;
-        None
-    }
-}
-
 /// Pin for the readiness-before-refusal ordering: a concurrent submitter
 /// that gets `Overloaded` from a *drain* (the queue is far from full)
 /// must already see `ready() == false` — drain flips readiness before the
@@ -120,21 +74,11 @@ impl Nl2SqlModel for GateModel {
 fn drain_refusals_are_never_observed_while_ready() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::channel();
-    let gate = std::sync::Arc::new(GateModel::new(started_tx));
-    struct Shared(std::sync::Arc<GateModel>);
-    impl Nl2SqlModel for Shared {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
-            self.0.translate(task)
-        }
-    }
+    let (gate, started_rx) = GateModel::new();
     // queue far larger than the test will fill: the only possible
     // Overloaded is the drain-induced one
     let config = ServeConfig::builder().workers(1).queue_capacity(100_000).build().unwrap();
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
+    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(gate.clone())];
     Service::run(config, &ctx, models, |handle| {
         let sample = &corpus.dev[0];
         let wedged = handle.submit(request(sample, 0, "Gate")).expect("admitted");
@@ -177,36 +121,39 @@ fn drain_refusals_are_never_observed_while_ready() {
     });
 }
 
-/// Two threads hammer the submitted/completed counters in program order
-/// (submit strictly before complete) while a third snapshots: the raw
-/// difference can be read torn (completed ahead of submitted), but
-/// `lost()` must never report that transient as a negative count.
+/// Two client threads hammer the service (admission strictly before
+/// the reply) while a third snapshots: the raw difference can be read torn
+/// (an outcome counted before its admission is seen), but `lost()` must
+/// never report that transient as a negative count, and must settle at 0.
 #[test]
 fn lost_never_goes_negative_under_concurrent_snapshots() {
-    let metrics = Metrics::default();
-    const PER_THREAD: u64 = 200_000;
-    std::thread::scope(|s| {
-        for _ in 0..2 {
-            s.spawn(|| {
-                for _ in 0..PER_THREAD {
-                    Metrics::inc(&metrics.submitted);
-                    Metrics::inc(&metrics.completed);
-                }
-            });
-        }
-        s.spawn(|| {
-            loop {
-                let snap = metrics.snapshot();
+    let corpus = corpus();
+    let ctx = EvalContext::new(&corpus);
+    const PER_THREAD: u64 = 1_000;
+    let config = ServeConfig::builder().workers(2).build().unwrap();
+    let end = Service::run_with_methods(config, &ctx, &["C3SQL"], |handle| {
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let corpus = &corpus;
+                s.spawn(move || {
+                    for i in 0..PER_THREAD as usize {
+                        let sample = &corpus.dev[(i + t) % 8];
+                        let _ = handle.query(request(sample, 0, "C3SQL"));
+                    }
+                });
+            }
+            s.spawn(|| loop {
+                let snap = handle.metrics();
                 assert!(snap.lost() >= 0, "lost() leaked a torn read: {snap:?}");
-                if snap.completed == 2 * PER_THREAD {
+                if snap.completed + snap.failed + snap.deadline_exceeded == 2 * PER_THREAD {
                     return;
                 }
                 std::thread::yield_now();
-            }
+            });
         });
+        handle.metrics()
     });
-    let end = metrics.snapshot();
-    assert_eq!(end.submitted, 2 * PER_THREAD);
+    assert_eq!((end.submitted, end.completed), (2 * PER_THREAD, 2 * PER_THREAD));
     assert_eq!(end.lost(), 0);
 }
 

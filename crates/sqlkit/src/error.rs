@@ -5,9 +5,22 @@ use std::fmt;
 /// Convenience alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, Error>;
 
+/// What kind of failure an [`Error`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorKind {
+    /// Malformed input: a lexing or grammar error.
+    Syntax,
+    /// Parentheses, subqueries or prefix operators nested deeper than
+    /// [`crate::parser::MAX_DEPTH`]. Refused before the recursive-descent
+    /// parser can exhaust the stack.
+    TooDeep,
+}
+
 /// A lexing or parsing failure, carrying the byte offset where it occurred.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
+    /// What went wrong, as a matchable kind.
+    pub kind: ErrorKind,
     /// Byte offset into the source text where the error was detected.
     pub offset: usize,
     /// Human-readable description of what went wrong.
@@ -15,9 +28,9 @@ pub struct Error {
 }
 
 impl Error {
-    /// Create a new error at `offset` with the given message.
+    /// Create a new syntax error at `offset` with the given message.
     pub fn new(offset: usize, message: impl Into<String>) -> Self {
-        Self { offset, message: message.into() }
+        Self { kind: ErrorKind::Syntax, offset, message: message.into() }
     }
 }
 

@@ -37,7 +37,7 @@ pub mod printer;
 pub mod token;
 
 pub use ast::Query;
-pub use error::{Error, Result};
+pub use error::{Error, ErrorKind, Result};
 pub use exact_match::exact_match;
 pub use features::SqlFeatures;
 pub use hardness::Hardness;

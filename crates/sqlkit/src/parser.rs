@@ -14,16 +14,24 @@
 //! ```
 
 use crate::ast::*;
-use crate::error::{Error, Result};
+use crate::error::{Error, ErrorKind, Result};
 use crate::lexer::tokenize;
 use crate::token::{Keyword as K, Symbol as S, Token, TokenKind as T};
+
+/// Deepest nesting the parser accepts. Parentheses, subqueries, prefix
+/// operators (`NOT`, unary `-`/`+`) and each operator of a binary chain
+/// (`a + b + c` is a left-deep tree) take one level each. A level costs
+/// stack frames here and again in every recursive AST walk downstream, so
+/// deeper input is refused with [`ErrorKind::TooDeep`]. Real Spider/BIRD
+/// queries nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// Parse a single SQL query (a SELECT statement, possibly compound).
 ///
 /// Trailing semicolons are permitted; any other trailing tokens are an error.
 pub fn parse_query(src: &str) -> Result<Query> {
     let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let q = p.parse_query()?;
     p.eat_symbol(S::Semicolon);
     p.expect_eof()?;
@@ -33,6 +41,8 @@ pub fn parse_query(src: &str) -> Result<Query> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth; see [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -112,9 +122,38 @@ impl Parser {
         }
     }
 
+    /// Go one nesting level deeper, refusing past [`MAX_DEPTH`]. The level
+    /// is released when the enclosing [`Self::nested`] call returns; an
+    /// error abandons the whole parse, so it releases nothing.
+    fn descend(&mut self) -> Result<()> {
+        if self.depth >= MAX_DEPTH {
+            return Err(Error {
+                kind: ErrorKind::TooDeep,
+                offset: self.offset(),
+                message: format!("nesting deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `f` one nesting level deeper; the levels `f` takes for operator
+    /// chains are released with it.
+    fn nested<R>(&mut self, f: impl FnOnce(&mut Self) -> Result<R>) -> Result<R> {
+        let depth = self.depth;
+        self.descend()?;
+        let out = f(self)?;
+        self.depth = depth;
+        Ok(out)
+    }
+
     // ---- query level ----
 
     fn parse_query(&mut self) -> Result<Query> {
+        self.nested(Self::parse_compound)
+    }
+
+    fn parse_compound(&mut self) -> Result<Query> {
         let body = self.parse_select_core()?;
         let mut set_ops = Vec::new();
         loop {
@@ -305,12 +344,13 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
         let mut left = self.parse_and()?;
         while self.eat_kw(K::Or) {
+            self.descend()?;
             let right = self.parse_and()?;
             left = Expr::binary(BinOp::Or, left, right);
         }
@@ -320,6 +360,7 @@ impl Parser {
     fn parse_and(&mut self) -> Result<Expr> {
         let mut left = self.parse_not()?;
         while self.eat_kw(K::And) {
+            self.descend()?;
             let right = self.parse_not()?;
             left = Expr::binary(BinOp::And, left, right);
         }
@@ -328,7 +369,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Expr> {
         if self.eat_kw(K::Not) {
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             return Ok(Expr::Unary { op: UnOp::Not, expr: Box::new(inner) });
         }
         self.parse_predicate()
@@ -411,6 +452,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let right = self.parse_multiplicative()?;
             left = Expr::binary(op, left, right);
         }
@@ -427,6 +469,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let right = self.parse_unary()?;
             left = Expr::binary(op, left, right);
         }
@@ -435,7 +478,7 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat_symbol(S::Minus) {
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             // fold negation of literals for cleaner ASTs
             return Ok(match inner {
                 Expr::Literal(Literal::Int(v)) => Expr::Literal(Literal::Int(-v)),
@@ -444,7 +487,7 @@ impl Parser {
             });
         }
         if self.eat_symbol(S::Plus) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
@@ -845,6 +888,51 @@ mod tests {
         let mut n = 0;
         crate::ast::walk_subqueries(&q, &mut |_| n += 1);
         assert_eq!(n, 3);
+    }
+
+    /// Every recursive shape the grammar has, `n` depth units deep. A
+    /// scalar subquery costs two units (the query and its parenthesized
+    /// expression), so those shapes nest `n / 2` times.
+    fn nested_shapes(n: usize) -> Vec<String> {
+        let half = n / 2;
+        vec![
+            format!("SELECT {}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("SELECT {}1", "NOT ".repeat(n)),
+            format!("SELECT {}1", "- ".repeat(n)),
+            format!("SELECT {}1", "+ ".repeat(n)),
+            format!("SELECT {}1{}", "abs(".repeat(n), ")".repeat(n)),
+            format!("SELECT 1{}", " + 1".repeat(n)),
+            format!("SELECT 1{}", " * 1".repeat(n)),
+            format!("SELECT 1{}", " AND 1".repeat(n)),
+            format!("SELECT 1{}", " OR 1".repeat(n)),
+            format!("SELECT {}1{}", "(SELECT ".repeat(half), ")".repeat(half)),
+            format!("SELECT * FROM {}t{}", "(SELECT * FROM ".repeat(n), ")".repeat(n)),
+        ]
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error_not_a_stack_overflow() {
+        for sql in nested_shapes(3000) {
+            let err = parse_query(&sql).expect_err("3000 levels must be refused");
+            assert_eq!(err.kind, ErrorKind::TooDeep, "{err}");
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses_on_a_small_stack() {
+        // 2 MiB is the default stack of a spawned thread, where the serve
+        // workers and HTTP handlers parse
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for sql in nested_shapes(MAX_DEPTH - 2) {
+                    let q = parse_query(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+                    let _ = crate::to_sql(&q);
+                }
+            })
+            .expect("spawn")
+            .join()
+            .expect("parsing at the limit must fit the stack");
     }
 
     #[test]

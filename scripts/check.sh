@@ -38,12 +38,12 @@ if [ "$lint" -eq 1 ]; then
   echo "==> cargo clippy (-D warnings)"
   cargo clippy --offline --workspace --all-targets -- -D warnings
 
-  # Panic hygiene: sqlkit, sqlcheck and serve deny clippy::unwrap_used in
-  # non-test code (crate-level #![cfg_attr(not(test), deny(...))]
-  # attributes; this run compiles the non-test targets so the deny is
-  # active).
-  echo "==> cargo clippy (sqlkit + sqlcheck + serve, unwrap_used denied)"
-  cargo clippy --offline -p sqlkit -p sqlcheck -p serve --lib --bins -- -D warnings
+  # Panic hygiene: sqlkit, sqlcheck, serve and cluster deny
+  # clippy::unwrap_used in non-test code (crate-level
+  # #![cfg_attr(not(test), deny(...))] attributes; this run compiles the
+  # non-test targets so the deny is active).
+  echo "==> cargo clippy (sqlkit + sqlcheck + serve + cluster, unwrap_used denied)"
+  cargo clippy --offline -p sqlkit -p sqlcheck -p serve -p cluster --lib --bins -- -D warnings
 
   # Equivalence-engine self-test: the per-rule rewrite unit tests plus the
   # execution-soundness suite (canonical form == original by execution on
